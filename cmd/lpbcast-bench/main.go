@@ -650,26 +650,26 @@ func liveSuite(quick bool) []benchCase {
 				for i := range burst {
 					burst[i] = proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: g}
 				}
-				// await spins until the node has consumed n more gossips;
-				// Stats takes a mutex and allocates nothing.
-				await := func(n uint64) {
-					want := node.Stats().GossipsReceived + n
+				// round sends one burst and spins until the node has
+				// consumed it; Stats takes a mutex and allocates nothing.
+				// The target is read before sending: the fabric delivers
+				// zero-delay messages inline, so the node may drain the
+				// burst before SendBatch returns.
+				round := func() {
+					want := node.Stats().GossipsReceived + uint64(len(burst))
+					if err := peer.SendBatch(burst); err != nil {
+						b.Fatal(err)
+					}
 					for node.Stats().GossipsReceived < want {
 						runtime.Gosched()
 					}
 				}
 				for i := 0; i < 4; i++ { // warm scratch buffers
-					if err := peer.SendBatch(burst); err != nil {
-						b.Fatal(err)
-					}
-					await(uint64(len(burst)))
+					round()
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := peer.SendBatch(burst); err != nil {
-						b.Fatal(err)
-					}
-					await(uint64(len(burst)))
+					round()
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(len(burst)), "messages/op")

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -445,11 +446,14 @@ func TestCompactDigestCompactionSavesSpace(t *testing.T) {
 func TestPIDList(t *testing.T) {
 	t.Parallel()
 	l := NewPIDList()
-	l.Add(3)
-	l.Add(3)
-	l.Add(4)
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
+	for _, p := range []proto.ProcessID{3, 4, 5} {
+		l.Append(p)
+	}
+	if !l.Remove(4) || l.Remove(9) {
+		t.Fatal("Remove reported the wrong presence")
+	}
+	if got := l.Items(); !reflect.DeepEqual(got, []proto.ProcessID{3, 5}) {
+		t.Fatalf("Items = %v, want [p3 p5]", got)
 	}
 }
 
@@ -476,5 +480,37 @@ func BenchmarkKeyedListTruncateRandom(b *testing.B) {
 			l.Add(pid(j))
 		}
 		l.TruncateRandom(30, r)
+	}
+}
+
+// TestPIDListTruncateMatchesSequential checks the compact-once truncation
+// against removing one uniformly drawn victim at a time: the same
+// survivors in the same order, and the same draws. Lengths run past one
+// 64-bit word of the survivor mask.
+func TestPIDListTruncateMatchesSequential(t *testing.T) {
+	t.Parallel()
+	gen := rng.New(17)
+	for trial := 0; trial < 2000; trial++ {
+		n := gen.Intn(200)
+		max := gen.Intn(n+2) - 1
+		seed := gen.Uint64()
+		l := NewPIDList()
+		want := make([]proto.ProcessID, n)
+		for i := range want {
+			want[i] = pid(uint64(i + 1))
+			l.Append(want[i])
+		}
+		r, ref := rng.New(seed), rng.New(seed)
+		removed := l.TruncateRandomDiscard(max, r)
+		for len(want) > max && len(want) > 0 {
+			i := ref.Intn(len(want))
+			want = append(want[:i], want[i+1:]...)
+		}
+		if got := l.Items(); !reflect.DeepEqual(got, append([]proto.ProcessID(nil), want...)) || removed != n-len(want) {
+			t.Fatalf("seed %#x n=%d max=%d: kept %v (removed %d), want %v", seed, n, max, got, removed, want)
+		}
+		if r.State() != ref.State() {
+			t.Fatalf("seed %#x n=%d max=%d: rng state diverged", seed, n, max)
+		}
 	}
 }

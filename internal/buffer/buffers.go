@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"math/bits"
+
 	"repro/internal/pool"
 	"repro/internal/proto"
 	"repro/internal/rng"
@@ -15,6 +17,7 @@ type Pools struct {
 	Events pool.Arena[proto.Event]
 	IDs    pool.Arena[proto.EventID]
 	Unsubs pool.Arena[proto.Unsubscription]
+	Words  pool.Arena[uint64]
 }
 
 // Stats aggregates the arenas' counters.
@@ -24,6 +27,7 @@ func (p *Pools) Stats() pool.Stats {
 	s.Add(p.Events.Stats())
 	s.Add(p.IDs.Stats())
 	s.Add(p.Unsubs.Stats())
+	s.Add(p.Words.Stats())
 	return s
 }
 
@@ -34,14 +38,15 @@ func eventKey(e proto.Event) proto.EventID            { return e.ID }
 func idKey(id proto.EventID) proto.EventID            { return id }
 
 // PIDList is a bounded, duplicate-free list of process identifiers — the
-// representation of the subs buffer. Unlike the generic KeyedList it is
-// backed by a plain slice with linear membership scans: a subs buffer
-// holds at most |subs|m plus one gossip's inflow (a few dozen entries),
-// where a scan over packed uint64s outruns a hash map — and, decisively
-// for the zero-alloc hot path, a slice at its high-water capacity never
-// reallocates, while map metadata keeps growing under delete/insert churn.
+// representation of the subs buffer — backed by a plain slice, which at
+// its high-water capacity never reallocates. It keeps no index of its
+// own: the membership merge, its hot-path writer, checks new ids against
+// one set covering both the view and subs and then uses Append, and
+// random truncation compacts the slice once. Remove scans the slice,
+// which is bounded by |subs|m plus one gossip's inflow.
 type PIDList struct {
 	items []proto.ProcessID
+	alive []uint64 // truncation scratch: one bit per item, set while kept
 }
 
 // NewPIDList creates an empty PIDList.
@@ -57,17 +62,9 @@ func (l *PIDList) indexOf(p proto.ProcessID) int {
 	return -1
 }
 
-// Add appends p unless present, reporting whether it was added.
-func (l *PIDList) Add(p proto.ProcessID) bool {
-	if l.indexOf(p) >= 0 {
-		return false
-	}
-	l.items = append(l.items, p)
-	return true
-}
-
-// Contains reports whether p is buffered.
-func (l *PIDList) Contains(p proto.ProcessID) bool { return l.indexOf(p) >= 0 }
+// Append appends p, which the caller knows is absent: the list keeps no
+// index, so callers track membership themselves (see PIDList).
+func (l *PIDList) Append(p proto.ProcessID) { l.items = append(l.items, p) }
 
 // Remove deletes p, preserving the order of the rest. It reports whether
 // an element was removed.
@@ -99,53 +96,110 @@ func (l *PIDList) AppendItems(dst []proto.ProcessID) []proto.ProcessID {
 	return append(dst, l.items...)
 }
 
-// Grow pre-allocates capacity for n identifiers.
+// Grow pre-allocates capacity for n identifiers and their truncation
+// scratch.
 func (l *PIDList) Grow(n int) {
 	if cap(l.items) < n {
 		items := make([]proto.ProcessID, len(l.items), n)
 		copy(items, l.items)
 		l.items = items
 	}
+	if w := words(n); cap(l.alive) < w {
+		l.alive = make([]uint64, w)
+	}
 }
 
-// GrowIn pre-allocates capacity for n identifiers from a pooled arena.
+// GrowIn pre-allocates capacity for n identifiers and their truncation
+// scratch from pooled arenas.
 func (l *PIDList) GrowIn(n int, p *Pools) {
 	if cap(l.items) < n {
 		items := p.PIDs.Make(n)[:len(l.items)]
 		copy(items, l.items)
 		l.items = items
 	}
+	if w := words(n); cap(l.alive) < w {
+		l.alive = p.Words.Make(w)
+	}
 }
 
-// TruncateRandom removes uniformly chosen identifiers until Len() <= max,
-// returning the removed identifiers.
-func (l *PIDList) TruncateRandom(max int, r *rng.Source) []proto.ProcessID {
-	if max < 0 {
-		max = 0
-	}
-	var removed []proto.ProcessID
-	for len(l.items) > max {
-		i := r.Intn(len(l.items))
-		removed = append(removed, l.items[i])
-		l.items = append(l.items[:i], l.items[i+1:]...)
-	}
-	return removed
-}
+// words is the number of 64-bit words covering n bits.
+func words(n int) int { return (n + 63) >> 6 }
 
 // TruncateRandomDiscard removes uniformly chosen identifiers until
-// Len() <= max, returning only the count (same draws as TruncateRandom).
+// Len() <= max, preserving the order of the rest, and returns how many it
+// removed. Draw j is r.Intn(Len()-j) and picks the j-th victim's position
+// among the survivors in order, exactly as removing one victim at a time
+// would; each draw is mapped to its original position through a bitmask
+// of survivors, and the list is compacted once at the end.
 func (l *PIDList) TruncateRandomDiscard(max int, r *rng.Source) int {
 	if max < 0 {
 		max = 0
 	}
-	n := 0
-	for len(l.items) > max {
-		i := r.Intn(len(l.items))
-		l.items = append(l.items[:i], l.items[i+1:]...)
-		n++
+	n := len(l.items)
+	if n <= max {
+		return 0
 	}
-	return n
+	w := words(n)
+	if cap(l.alive) < w {
+		l.alive = make([]uint64, w)
+	}
+	alive := l.alive[:w]
+	for i := range alive {
+		alive[i] = ^uint64(0)
+	}
+	if n&63 != 0 {
+		alive[w-1] = 1<<(n&63) - 1
+	}
+	for left := n; left > max; left-- {
+		k := r.Intn(left)
+		i := 0
+		for c := bits.OnesCount64(alive[i]); k >= c; c = bits.OnesCount64(alive[i]) {
+			k -= c
+			i++
+		}
+		alive[i] &^= 1 << selectBit(alive[i], k)
+	}
+	kept := 0
+	for i, p := range l.items {
+		l.items[kept] = p
+		kept += int(alive[i>>6] >> (i & 63) & 1)
+	}
+	l.items = l.items[:kept]
+	return n - kept
 }
+
+// selectBit returns the position of x's k-th (0-based) set bit; x has more
+// than k set bits. It is branch-free, since k is a fresh random draw each
+// time: byte-wise popcounts summed by one multiply locate the byte, and a
+// table selects within it.
+func selectBit(x uint64, k int) int {
+	const (
+		ones = 0x0101010101010101
+		high = 0x8080808080808080
+	)
+	c := x - x>>1&0x5555555555555555
+	c = c&0x3333333333333333 + c>>2&0x3333333333333333
+	c = (c + c>>4) & 0x0f0f0f0f0f0f0f0f
+	sums := c * ones // byte b: set bits in bytes 0..b
+	// Bytes whose running count is at most k lie wholly before the bit.
+	at := bits.OnesCount64(((uint64(k)*ones|high)-sums)&high) * 8
+	rank := k - int(sums<<8>>at&0xff)
+	return at + int(selectInByte[rank<<8|int(x>>at&0xff)])
+}
+
+// selectInByte[r<<8|b] is the position of byte b's r-th set bit.
+var selectInByte = func() (t [8 << 8]uint8) {
+	for b := 0; b < 256; b++ {
+		r := 0
+		for i := 0; i < 8; i++ {
+			if b>>i&1 != 0 {
+				t[r<<8|b] = uint8(i)
+				r++
+			}
+		}
+	}
+	return t
+}()
 
 // UnsubList is a bounded, duplicate-free list of unsubscriptions keyed by
 // process — the representation of the unSubs buffer. Re-adding an

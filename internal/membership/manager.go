@@ -101,6 +101,7 @@ type Manager struct {
 	unsubs *buffer.UnsubList
 	keep   []proto.ProcessID // prioritary set, usually empty; nil allocs
 	rng    *rng.Source
+	known  pidSet // merge's index over view and subs
 
 	unsubscribed bool
 }
@@ -130,11 +131,13 @@ func NewManager(self proto.ProcessID, cfg Config, r *rng.Source) (*Manager, erro
 }
 
 // presize grows every bounded buffer to its transient high-water mark
-// (the configured bound plus one gossip's worth of inflow), so the
-// per-message view/subs churn never reallocates in steady state, and
-// installs the prioritary set.
+// (the configured bound plus one gossip's worth of inflow), and the merge
+// index to the most distinct ids one merge can meet (view, subs and a
+// trimmed subs list), so the per-message view/subs churn never
+// reallocates in steady state; it then installs the prioritary set.
 func (m *Manager) presize(p *Pools) {
 	inflow := m.cfg.MaxSubs + 2
+	m.known.grow(m.cfg.MaxView+2*m.cfg.MaxSubs+1, p)
 	if p != nil {
 		m.view.GrowIn(m.cfg.MaxView+inflow, p)
 		m.subs.GrowIn(m.cfg.MaxSubs+m.cfg.MaxView+inflow, &p.Buf)
@@ -176,19 +179,21 @@ func (m *Manager) ViewEntries() []Entry { return m.view.Entries() }
 // Seed merges bootstrap members into the view (used at join time, before
 // any gossip has been received), truncating to the view bound. Members
 // evicted by the truncation spill into subs, which is bounded in turn.
-func (m *Manager) Seed(ps []proto.ProcessID) {
-	for _, p := range ps {
-		m.view.Add(p)
-	}
-	m.truncateView()
-	m.truncateSubs()
-}
+func (m *Manager) Seed(ps []proto.ProcessID) { m.merge(ps, false) }
 
 // ApplyUnsubs executes phase 1 of gossip reception: remove unsubscribed
 // processes from the view, buffer the unsubscriptions for forwarding, and
 // truncate the buffer randomly. Obsolete unsubscriptions (older than the
 // TTL relative to now) are ignored and expired.
+//
+// Only the first MaxUnsubs+1 entries are read: a correct peer emits at
+// most its bounded buffer plus its own unsubscription. Longer lists come
+// from a peer configured with a larger |unSubs|m, or a hostile one; their
+// surplus is dropped, as truncation would have dropped it.
 func (m *Manager) ApplyUnsubs(unsubs []proto.Unsubscription, now uint64) {
+	if n := m.cfg.MaxUnsubs + 1; len(unsubs) > n {
+		unsubs = unsubs[:n]
+	}
 	for _, u := range unsubs {
 		if u.Process == m.self {
 			// Somebody is circulating our own unsubscription; if we are
@@ -214,53 +219,99 @@ func (m *Manager) ApplyUnsubs(unsubs []proto.Unsubscription, now uint64) {
 // moving evicted members into subs, and truncate subs randomly. In the
 // Weighted policy, re-announced known processes get their awareness weight
 // bumped.
+//
+// Only the first MaxSubs+1 entries are read: that is all a correct
+// sender's AppendSubs emits (its bounded subs plus itself). Longer lists
+// come from a peer configured with a larger |subs|m, or a hostile one;
+// their surplus is dropped, as truncation would have dropped it. The
+// merge thus costs O(l + |subs|m) whatever the datagram carries.
 func (m *Manager) ApplySubs(subs []proto.ProcessID) {
-	for _, p := range subs {
+	if n := m.cfg.MaxSubs + 1; len(subs) > n {
+		subs = subs[:n]
+	}
+	m.merge(subs, true)
+}
+
+// merge is the one membership merge behind ApplySubs and Seed. Every
+// lookup goes through m.known, rebuilt from the view and subs on entry,
+// so merging costs O(l + |subs| + len(ps)); the uniform truncations that
+// follow cost one draw per victim, while the Weighted and prioritary
+// ones rescan the (bounded) view or subs per victim. New processes are
+// appended to the view and — when announce is set (received subs rather
+// than bootstrap members) — to subs; with announce under the Weighted
+// policy, known ones get their weight bumped. The view is then truncated
+// to l, its evictees spill into subs, and subs is truncated to |subs|m.
+func (m *Manager) merge(ps []proto.ProcessID, announce bool) {
+	s := &m.known
+	s.reset(m.view.Len() + m.subs.Len() + len(ps))
+	for i := range m.view.list {
+		s.setViewPos(s.slot(m.view.list[i].Process), i)
+	}
+	for i, n := 0, m.subs.Len(); i < n; i++ {
+		s.markBuffered(s.slot(m.subs.At(i)))
+	}
+	bump := announce && m.cfg.Policy == Weighted
+	for _, p := range ps {
 		if p == m.self || p == proto.NilProcess {
 			continue
 		}
-		if m.view.Contains(p) {
-			if m.cfg.Policy == Weighted {
-				m.view.Bump(p)
+		i := s.slot(p)
+		if pos := s.viewPos(i); pos >= 0 {
+			if bump {
+				m.view.list[pos].Weight++
 			}
 			continue
 		}
-		m.view.Add(p)
-		m.subs.Add(p)
+		s.setViewPos(i, len(m.view.list))
+		m.view.list = append(m.view.list, Entry{Process: p, Weight: 1})
+		if announce && !s.buffered(i) {
+			s.markBuffered(i)
+			m.subs.Append(p)
+		}
 	}
-	m.truncateView()
-	m.truncateSubs()
-}
 
-// truncateView enforces |view| <= l, moving evictees into subs so they
-// remain "eligible for being forwarded with the next gossip" (Fig. 1(a)).
-func (m *Manager) truncateView() {
-	var removed []proto.ProcessID
-	if m.cfg.Policy == Weighted {
-		removed = m.view.TruncateWeighted(m.cfg.MaxView, m.keep, m.rng)
-	} else {
-		removed = m.view.TruncateUniform(m.cfg.MaxView, m.keep, m.rng)
+	// Truncate the view to l, moving evictees into subs so they remain
+	// "eligible for being forwarded with the next gossip" (Fig. 1(a)).
+	for _, e := range m.view.truncate(m.cfg.MaxView, m.keep, m.cfg.Policy == Weighted, m.rng) {
+		i := s.slot(e.Process)
+		s.setViewPos(i, -1)
+		if !s.buffered(i) {
+			s.markBuffered(i)
+			m.subs.Append(e.Process)
+		}
 	}
-	for _, p := range removed {
-		m.subs.Add(p)
-	}
+	m.truncateSubs()
 }
 
 // truncateSubs enforces |subs| <= |subs|m. Under the Weighted policy,
 // high-weight (well known) entries are dropped first so that outgoing subs
 // favour poorly-known processes (§6.1); under Uniform, victims are random.
+// It runs at the end of merge, reading weights through m.known.
 func (m *Manager) truncateSubs() {
+	if m.subs.Len() <= m.cfg.MaxSubs {
+		return
+	}
 	if m.cfg.Policy != Weighted {
 		m.subs.TruncateRandomDiscard(m.cfg.MaxSubs, m.rng)
 		return
 	}
+	s := &m.known
+	for i := range m.view.list {
+		s.setViewPos(s.slot(m.view.list[i].Process), i) // truncation moved entries
+	}
+	weight := func(p proto.ProcessID) int {
+		if pos := s.viewPos(s.slot(p)); pos >= 0 {
+			return m.view.list[pos].Weight
+		}
+		return 0
+	}
 	for m.subs.Len() > m.cfg.MaxSubs {
 		victim := m.subs.At(0)
-		best := m.view.Weight(victim)
+		best := weight(victim)
 		ties := 1
 		for i, ln := 1, m.subs.Len(); i < ln; i++ {
 			p := m.subs.At(i)
-			w := m.view.Weight(p)
+			w := weight(p)
 			switch {
 			case w > best:
 				victim, best, ties = p, w, 1

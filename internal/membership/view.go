@@ -15,6 +15,7 @@ package membership
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/idmap"
@@ -31,23 +32,21 @@ type Entry struct {
 }
 
 // View is a bounded, duplicate-free set of processes with per-entry
-// weights. It never contains its owner. Membership tests are linear scans
-// over the entry list: a view holds at most l plus one gossip's inflow
-// (a few dozen entries), where a packed scan beats a hash map — and the
-// scan structure never reallocates under the per-message add/evict churn
-// the way map metadata does, which is what keeps large simulations
-// allocation-free in steady state.
+// weights. It never contains its owner. The entries are a plain slice
+// pre-sized to l plus one gossip's inflow, so the per-message add/evict
+// churn never reallocates. The View keeps no index: the membership
+// merge (Manager.merge), its hot-path writer, looks entries up through
+// one set over view and subs and appends directly, so a gossip costs
+// O(l + |subs|m). Add, Contains and Remove scan the slice; they serve
+// the prioritary set, diagnostics and unsubscription.
 //
 // View is not safe for concurrent use.
 type View struct {
 	owner proto.ProcessID
 	list  []Entry
 
-	pickScratch []int             // reused by AppendPick
-	candScratch []int             // reused by truncate (eviction candidates)
-	bestScratch []int             // reused by truncate (weighted tie set)
-	removed     []proto.ProcessID // reused by truncate (return value)
-	keepBits    idmap.Bitset      // reused by truncate (kept positions)
+	pickScratch []int        // reused by AppendPick
+	keepBits    idmap.Bitset // reused by truncate (kept positions)
 }
 
 // NewView creates an empty view owned by owner. The owner can never be
@@ -78,19 +77,6 @@ func (v *View) Grow(n int) { v.growIn(n, nil) }
 func (v *View) GrowIn(n int, p *Pools) { v.growIn(n, p) }
 
 func (v *View) growIn(n int, p *Pools) {
-	grow := func(s []int) []int {
-		if cap(s) >= n {
-			return s
-		}
-		var g []int
-		if p != nil {
-			g = p.Ints.Make(n)[:len(s)]
-		} else {
-			g = make([]int, len(s), n)
-		}
-		copy(g, s)
-		return g
-	}
 	if cap(v.list) < n {
 		var list []Entry
 		if p != nil {
@@ -101,18 +87,12 @@ func (v *View) growIn(n int, p *Pools) {
 		copy(list, v.list)
 		v.list = list
 	}
-	v.pickScratch = grow(v.pickScratch)
-	v.candScratch = grow(v.candScratch)
-	v.bestScratch = grow(v.bestScratch)
-	if cap(v.removed) < n {
-		var removed []proto.ProcessID
+	if cap(v.pickScratch) < n {
 		if p != nil {
-			removed = p.Buf.PIDs.Make(n)[:len(v.removed)]
+			v.pickScratch = p.Ints.Make(n)[:0]
 		} else {
-			removed = make([]proto.ProcessID, len(v.removed), n)
+			v.pickScratch = make([]int, 0, n)
 		}
-		copy(removed, v.removed)
-		v.removed = removed
 	}
 }
 
@@ -179,26 +159,6 @@ func (v *View) Entries() []Entry {
 	return append([]Entry(nil), v.list...)
 }
 
-// Weight returns p's awareness weight (0 if absent).
-func (v *View) Weight(p proto.ProcessID) int {
-	if i := v.indexOf(p); i >= 0 {
-		return v.list[i].Weight
-	}
-	return 0
-}
-
-// Bump increments p's awareness weight, reporting whether p was present.
-// Called when an incoming subs list re-announces a process we already know
-// (§6.1: "the weight of pj is increased").
-func (v *View) Bump(p proto.ProcessID) bool {
-	i := v.indexOf(p)
-	if i < 0 {
-		return false
-	}
-	v.list[i].Weight++
-	return true
-}
-
 // Pick returns k distinct members chosen uniformly at random — the gossip
 // target selection of Fig. 1(b). If k >= Len() all members are returned in
 // random order.
@@ -228,53 +188,34 @@ func (v *View) AppendPick(dst []proto.ProcessID, k int, r *rng.Source) []proto.P
 	return dst
 }
 
-// removeAt deletes the entry at position i and returns it.
-func (v *View) removeAt(i int) Entry {
-	e := v.list[i]
-	last := len(v.list) - 1
-	if i != last {
-		v.list[i] = v.list[last]
-	}
-	v.list = v.list[:last]
-	return e
-}
-
-// TruncateUniform removes uniformly chosen entries until Len() <= max,
-// never evicting processes in keep (the prioritary set, usually empty or
-// a handful of ids). Removed processes are returned (they stay eligible
-// for forwarding via subs, per Fig. 1(a) phase 2). The returned slice is
-// scratch reused by the next truncation: consume it before calling any
-// Truncate* method again, and do not retain it.
-func (v *View) TruncateUniform(max int, keep []proto.ProcessID, r *rng.Source) []proto.ProcessID {
-	return v.truncate(max, keep, false, r)
-}
-
-// TruncateWeighted removes the highest-weight entries first (ties broken
-// uniformly) until Len() <= max — the §6.1 heuristic: well-known entries
-// "are more probable of being known by many other processes" and are
-// evicted first. Entries in keep are never evicted. The returned slice
-// follows TruncateUniform's scratch-reuse contract.
-func (v *View) TruncateWeighted(max int, keep []proto.ProcessID, r *rng.Source) []proto.ProcessID {
-	return v.truncate(max, keep, true, r)
-}
-
-// truncate repeatedly evicts a victim among non-kept entries — uniformly,
-// or the highest-weight entry with uniform tie-breaking when weighted is
-// set. If every entry is protected by keep, the view is left over-full
-// rather than evicting a prioritary process. All bookkeeping lives in
-// scratch retained on the View — including the position bitset marking
-// kept entries — so truncation under gossip churn, the per-message hot
-// path of a large simulation, does not allocate. Random draws are
-// independent of whether the keep set arrives empty or is consulted via
-// the bitset: candidates are always enumerated in ascending position
-// order, exactly as the historical map-based implementation did.
-func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, r *rng.Source) []proto.ProcessID {
+// truncate removes entries until Len() <= max, never evicting processes
+// in keep (the prioritary set, usually empty or a handful of ids). Each
+// victim is drawn uniformly among the non-kept entries or, when weighted
+// is set, among the non-kept entries of highest weight — the §6.1
+// heuristic: well-known entries "are more probable of being known by
+// many other processes" and are evicted first. If every entry is
+// protected by keep, the view is left over-full rather than evicting a
+// prioritary process. Candidates are counted in ascending position order
+// and each victim costs exactly one draw over them (r.Intn(len) itself
+// when keep is empty), so the draws match a candidate list rebuilt before
+// every eviction without building one.
+//
+// The removed entries are returned in eviction order, or nil if none was
+// (they stay eligible for forwarding via subs, per Fig. 1(a) phase 2).
+// Each victim is swapped with the last entry before the list shrinks, so
+// the returned slice is the view's spare capacity: consume it before the
+// view changes again, and do not retain it. The only other bookkeeping,
+// the position bitset marking kept entries, is retained on the View:
+// truncation under gossip churn, the per-message hot path of a large
+// simulation, does not allocate.
+func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, r *rng.Source) []Entry {
 	if max < 0 {
 		max = 0
 	}
-	removed := v.removed[:0]
+	n := len(v.list)
+	kept := 0
 	if len(v.list) > max && len(keep) > 0 {
-		// Mark kept positions once; removeAt swap-removes, so the marks
+		// Mark kept positions once; eviction swap-removes, so the marks
 		// are maintained with a bit move per eviction instead of a rescan.
 		v.keepBits.Clear()
 		v.keepBits.Grow(len(v.list))
@@ -282,54 +223,78 @@ func (v *View) truncate(max int, keep []proto.ProcessID, weighted bool, r *rng.S
 			for _, k := range keep {
 				if v.list[i].Process == k {
 					v.keepBits.Set(i)
+					kept++
 					break
 				}
 			}
 		}
 	}
-	for len(v.list) > max {
-		cands := v.candScratch[:0]
-		if len(keep) == 0 {
-			for i := range v.list {
-				cands = append(cands, i)
-			}
-		} else {
-			for i := range v.list {
-				if !v.keepBits.Get(i) {
-					cands = append(cands, i)
-				}
-			}
-		}
-		v.candScratch = cands
-		if len(cands) == 0 {
-			break
-		}
+	for len(v.list) > max && len(v.list) > kept {
 		var victim int
-		if weighted {
-			best := v.bestScratch[:0]
-			best = append(best, cands[0])
-			for _, i := range cands[1:] {
-				switch w := v.list[i].Weight; {
-				case w > v.list[best[0]].Weight:
-					best = best[:1]
-					best[0] = i
-				case w == v.list[best[0]].Weight:
-					best = append(best, i)
-				}
-			}
-			v.bestScratch = best
-			victim = best[r.Intn(len(best))]
-		} else {
-			victim = cands[r.Intn(len(cands))]
+		switch {
+		case weighted:
+			victim = v.heaviest(kept > 0, r)
+		case kept == 0:
+			victim = r.Intn(len(v.list))
+		default:
+			victim = v.nthFree(r.Intn(len(v.list) - kept))
 		}
-		if len(keep) > 0 {
+		if kept > 0 {
 			v.keepBits.Move(len(v.list)-1, victim)
 		}
-		e := v.removeAt(victim)
-		removed = append(removed, e.Process)
+		last := len(v.list) - 1
+		v.list[victim], v.list[last] = v.list[last], v.list[victim]
+		v.list = v.list[:last]
 	}
-	v.removed = removed
-	return removed
+	if len(v.list) == n {
+		return nil
+	}
+	evicted := v.list[len(v.list):n] // most recent first
+	slices.Reverse(evicted)
+	return evicted
+}
+
+// nthFree returns the position of the k-th (0-based) entry not marked in
+// keepBits.
+func (v *View) nthFree(k int) int {
+	for i := range v.list {
+		if v.keepBits.Get(i) {
+			continue
+		}
+		if k == 0 {
+			return i
+		}
+		k--
+	}
+	panic("membership: nthFree out of range")
+}
+
+// heaviest picks the weighted victim: one draw chooses uniformly among the
+// non-kept entries of maximal weight. There is at least one non-kept entry.
+func (v *View) heaviest(useKeep bool, r *rng.Source) int {
+	best, ties := 0, 0
+	for i := range v.list {
+		if useKeep && v.keepBits.Get(i) {
+			continue
+		}
+		switch w := v.list[i].Weight; {
+		case ties == 0 || w > best:
+			best, ties = w, 1
+		case w == best:
+			ties++
+		}
+	}
+	k := r.Intn(ties)
+	for i := range v.list {
+		if useKeep && v.keepBits.Get(i) || v.list[i].Weight != best {
+			continue
+		}
+		if k == 0 {
+			return i
+		}
+		k--
+	}
+	panic("membership: heaviest out of range")
 }
 
 // SortedProcesses returns member identifiers in ascending order — for

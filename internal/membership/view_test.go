@@ -53,17 +53,9 @@ func TestViewWeights(t *testing.T) {
 	t.Parallel()
 	v := NewView(1)
 	v.Add(2)
-	if v.Weight(2) != 1 {
-		t.Fatalf("initial weight = %d, want 1", v.Weight(2))
-	}
-	if !v.Bump(2) || v.Weight(2) != 2 {
-		t.Fatal("Bump failed")
-	}
-	if v.Bump(9) {
-		t.Fatal("Bump of absent process returned true")
-	}
-	if v.Weight(9) != 0 {
-		t.Fatal("absent weight != 0")
+	v.Add(2) // a duplicate Add leaves the weight alone
+	if es := v.Entries(); len(es) != 1 || es[0].Weight != 1 {
+		t.Fatalf("entries = %v, want one of weight 1", es)
 	}
 }
 
@@ -109,13 +101,13 @@ func TestTruncateUniform(t *testing.T) {
 	for i := uint64(2); i <= 21; i++ {
 		v.Add(proto.ProcessID(i))
 	}
-	removed := v.TruncateUniform(5, nil, r)
+	removed := v.truncate(5, nil, false, r)
 	if v.Len() != 5 || len(removed) != 15 {
 		t.Fatalf("kept %d, removed %d", v.Len(), len(removed))
 	}
-	for _, p := range removed {
-		if v.Contains(p) {
-			t.Fatalf("removed %v still in view", p)
+	for _, e := range removed {
+		if v.Contains(e.Process) {
+			t.Fatalf("removed %v still in view", e.Process)
 		}
 	}
 }
@@ -129,7 +121,7 @@ func TestTruncateKeepsPrioritary(t *testing.T) {
 		for i := uint64(2); i <= 21; i++ {
 			v.Add(proto.ProcessID(i))
 		}
-		v.TruncateUniform(3, keep, r)
+		v.truncate(3, keep, false, r)
 		if !v.Contains(2) || !v.Contains(3) {
 			t.Fatal("prioritary process evicted")
 		}
@@ -143,7 +135,7 @@ func TestTruncateAllKept(t *testing.T) {
 	v.Add(2)
 	v.Add(3)
 	keep := []proto.ProcessID{2, 3}
-	if removed := v.TruncateUniform(1, keep, r); removed != nil {
+	if removed := v.truncate(1, keep, false, r); removed != nil {
 		t.Fatalf("evicted protected entries: %v", removed)
 	}
 	if v.Len() != 2 {
@@ -158,11 +150,9 @@ func TestTruncateWeightedEvictsHeavy(t *testing.T) {
 	v.Add(2)
 	v.Add(3)
 	v.Add(4)
-	for i := 0; i < 5; i++ {
-		v.Bump(3) // 3 is the best-known entry
-	}
-	removed := v.TruncateWeighted(2, nil, r)
-	if len(removed) != 1 || removed[0] != 3 {
+	v.list[1].Weight += 5 // 3 is the best-known entry
+	removed := v.truncate(2, nil, true, r)
+	if len(removed) != 1 || removed[0].Process != 3 {
 		t.Fatalf("removed %v, want [3]", removed)
 	}
 }
@@ -176,8 +166,8 @@ func TestTruncateWeightedTieBreaksRandomly(t *testing.T) {
 		v.Add(2)
 		v.Add(3)
 		v.Add(4)
-		removed := v.TruncateWeighted(2, nil, r)
-		victims[removed[0]]++
+		removed := v.truncate(2, nil, true, r)
+		victims[removed[0].Process]++
 	}
 	for _, p := range []proto.ProcessID{2, 3, 4} {
 		if victims[p] < 50 {
@@ -199,7 +189,7 @@ func TestViewNeverContainsOwnerProperty(t *testing.T) {
 			case 1:
 				v.Remove(p)
 			case 2:
-				v.TruncateUniform(int(op%8), nil, r)
+				v.truncate(int(op%8), nil, false, r)
 			}
 		}
 		return !v.Contains(5) && v.Len() <= 16
@@ -214,7 +204,7 @@ func TestViewEntriesCopy(t *testing.T) {
 	v.Add(2)
 	es := v.Entries()
 	es[0].Weight = 99
-	if v.Weight(2) != 1 {
+	if v.Entries()[0].Weight != 1 {
 		t.Fatal("Entries aliased internal state")
 	}
 	ps := v.Processes()
@@ -247,11 +237,11 @@ func TestTruncateKeepAllocFree(t *testing.T) {
 		for i := uint64(2); i <= 40; i++ {
 			v.Add(proto.ProcessID(i))
 		}
-		v.TruncateUniform(5, keep, r)
+		v.truncate(5, keep, false, r)
 		for i := uint64(2); i <= 40; i++ {
 			v.Add(proto.ProcessID(i))
 		}
-		v.TruncateWeighted(5, keep, r)
+		v.truncate(5, keep, true, r)
 	}
 	cycle() // warm the retained scratch and bitset
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
