@@ -112,15 +112,17 @@ func TestKeyedListTruncateOldest(t *testing.T) {
 	for i := uint64(1); i <= 10; i++ {
 		l.Add(pid(i))
 	}
-	removed := l.TruncateOldest(7)
-	if len(removed) != 3 || removed[0] != 1 || removed[2] != 3 {
-		t.Fatalf("removed = %v, want [1 2 3]", removed)
+	if n := l.TruncateOldestDiscard(7); n != 3 {
+		t.Fatalf("removed %d, want 3", n)
 	}
-	if l.Contains(1) || !l.Contains(4) {
+	if l.Contains(3) || !l.Contains(4) {
 		t.Fatal("wrong elements evicted")
 	}
-	if got := l.TruncateOldest(7); got != nil {
-		t.Fatalf("second truncate removed %v", got)
+	if got := l.Items(); !reflect.DeepEqual(got, []proto.ProcessID{4, 5, 6, 7, 8, 9, 10}) {
+		t.Fatalf("kept %v, want [4..10]", got)
+	}
+	if n := l.TruncateOldestDiscard(7); n != 0 {
+		t.Fatalf("second truncate removed %d", n)
 	}
 }
 
@@ -289,13 +291,12 @@ func TestEventBufferTruncateRandom(t *testing.T) {
 
 func TestIDBufferFIFO(t *testing.T) {
 	t.Parallel()
-	b := NewIDBuffer()
+	b := NewIDBuffer(3)
 	for i := uint64(1); i <= 5; i++ {
 		b.Add(proto.EventID{Origin: 1, Seq: i})
 	}
-	evicted := b.TruncateOldest(3)
-	if len(evicted) != 2 || evicted[0].Seq != 1 || evicted[1].Seq != 2 {
-		t.Fatalf("evicted = %v", evicted)
+	if got := b.IDs(); len(got) != 3 || got[0].Seq != 3 || got[2].Seq != 5 {
+		t.Fatalf("window = %v, want seqs [3 4 5]", got)
 	}
 	if b.Contains(proto.EventID{Origin: 1, Seq: 1}) {
 		t.Fatal("oldest id still present")
@@ -372,20 +373,6 @@ func TestCompactDigestSeqZero(t *testing.T) {
 	}
 }
 
-func TestCompactDigestForget(t *testing.T) {
-	t.Parallel()
-	d := NewCompactDigest()
-	d.Add(proto.EventID{Origin: 1, Seq: 1})
-	d.Add(proto.EventID{Origin: 2, Seq: 1})
-	d.Forget(1)
-	if d.Contains(proto.EventID{Origin: 1, Seq: 1}) {
-		t.Fatal("forgotten origin still contained")
-	}
-	if d.Origins() != 1 {
-		t.Fatalf("Origins = %d", d.Origins())
-	}
-}
-
 func TestCompactDigestSummary(t *testing.T) {
 	t.Parallel()
 	d := NewCompactDigest()
@@ -457,11 +444,10 @@ func TestPIDList(t *testing.T) {
 	}
 }
 
-func BenchmarkIDBufferAdd(b *testing.B) {
-	buf := NewIDBuffer()
+func BenchmarkIDBufferPush(b *testing.B) {
+	buf := NewIDBuffer(60)
 	for i := 0; i < b.N; i++ {
-		buf.Add(proto.EventID{Origin: 1, Seq: uint64(i)})
-		buf.TruncateOldest(60)
+		buf.Push(proto.EventID{Origin: 1, Seq: uint64(i)})
 	}
 }
 

@@ -35,7 +35,6 @@ func (p *Pools) Stats() pool.Stats {
 // func literal would also be static, but naming them makes that explicit).
 func unsubKey(u proto.Unsubscription) proto.ProcessID { return u.Process }
 func eventKey(e proto.Event) proto.EventID            { return e.ID }
-func idKey(id proto.EventID) proto.EventID            { return id }
 
 // PIDList is a bounded, duplicate-free list of process identifiers — the
 // representation of the subs buffer — backed by a plain slice, which at
@@ -362,94 +361,3 @@ func (b *EventBuffer) Remove(id proto.EventID) bool { return b.inner.Remove(id) 
 
 // Clear empties the buffer ("events ← ∅" after each gossip emission).
 func (b *EventBuffer) Clear() { b.inner.Clear() }
-
-// IDBuffer is the flat representation of eventIds: an insertion-ordered,
-// duplicate-free list of notification identifiers bounded by |eventIds|m
-// with oldest-first eviction. This is exactly the structure whose maximum
-// size drives the reliability measurements of Fig. 6(b).
-type IDBuffer struct {
-	inner KeyedList[proto.EventID, proto.EventID]
-}
-
-// NewIDBuffer creates an empty IDBuffer.
-func NewIDBuffer() *IDBuffer {
-	b := &IDBuffer{}
-	b.Init()
-	return b
-}
-
-// Init prepares a zero-value IDBuffer in place, allocation-free.
-func (b *IDBuffer) Init() { b.inner.Init(idKey) }
-
-// Add inserts id unless present, reporting whether it was added.
-func (b *IDBuffer) Add(id proto.EventID) bool { return b.inner.Add(id) }
-
-// Contains reports whether id is buffered.
-func (b *IDBuffer) Contains(id proto.EventID) bool { return b.inner.Contains(id) }
-
-// Len returns the number of buffered identifiers.
-func (b *IDBuffer) Len() int { return b.inner.Len() }
-
-// IDs returns a copy of the identifiers, oldest first.
-func (b *IDBuffer) IDs() []proto.EventID { return b.inner.Items() }
-
-// AppendIDs appends the identifiers, oldest first, to dst.
-func (b *IDBuffer) AppendIDs(dst []proto.EventID) []proto.EventID {
-	return b.inner.AppendItems(dst)
-}
-
-// TruncateOldest evicts oldest identifiers until Len() <= max ("remove
-// oldest element from eventIds"). It returns the evicted identifiers.
-func (b *IDBuffer) TruncateOldest(max int) []proto.EventID {
-	return b.inner.TruncateOldest(max)
-}
-
-// TruncateOldestDiscard evicts oldest identifiers until Len() <= max,
-// returning only the count — the allocation-free path record() runs on
-// every delivery.
-func (b *IDBuffer) TruncateOldestDiscard(max int) int {
-	return b.inner.TruncateOldestDiscard(max)
-}
-
-// Grow pre-allocates capacity for n identifiers.
-func (b *IDBuffer) Grow(n int) { b.inner.Grow(n) }
-
-// GrowIn pre-allocates capacity for n identifiers from a pooled arena.
-func (b *IDBuffer) GrowIn(n int, p *Pools) { b.inner.GrowIn(n, &p.IDs) }
-
-// Archive is the bounded store of older notifications kept "only ... to
-// satisfy retransmission requests" (§3.2). Eviction is oldest-first.
-type Archive struct {
-	inner KeyedList[proto.EventID, proto.Event]
-	max   int
-}
-
-// NewArchive creates an archive bounded at max events; max <= 0 disables
-// archiving entirely (Lookup always misses).
-func NewArchive(max int) *Archive {
-	a := &Archive{}
-	a.Init(max)
-	return a
-}
-
-// Init prepares a zero-value Archive in place, allocation-free.
-func (a *Archive) Init(max int) {
-	a.inner.Init(eventKey)
-	a.max = max
-}
-
-// Store retains e for future retransmission, evicting oldest entries to
-// respect the bound.
-func (a *Archive) Store(e proto.Event) {
-	if a.max <= 0 {
-		return
-	}
-	a.inner.Add(e)
-	a.inner.TruncateOldest(a.max)
-}
-
-// Lookup returns the archived event with the given id.
-func (a *Archive) Lookup(id proto.EventID) (proto.Event, bool) { return a.inner.Get(id) }
-
-// Len returns the number of archived events.
-func (a *Archive) Len() int { return a.inner.Len() }

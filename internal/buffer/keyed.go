@@ -19,16 +19,19 @@ import (
 
 // smallMax is the list length up to which a KeyedList runs in "small
 // mode" with no hash index at all: membership is a linear scan over the
-// packed items slice. The protocol's buffers are bounded by configuration
-// at a few dozen entries (§3.2 — |events|m, |eventIds|m, |unSubs|m), and
-// at those sizes scanning beats a map while costing zero allocations; the
-// index materializes lazily only if a list actually outgrows the mode.
+// packed items slice. The buffers built on it are bounded by configuration
+// at a few dozen entries (§3.2 — |events|m, |unSubs|m), and at those sizes
+// scanning beats a map while costing zero allocations; the index
+// materializes lazily only if a list actually outgrows the mode.
 const smallMax = 64
 
 // KeyedList is an insertion-ordered, duplicate-free list of values indexed
-// by a comparable key. It is the common substrate of the protocol buffers:
-// ordered iteration for FIFO eviction plus membership tests that are
-// linear scans while small and map lookups once past smallMax.
+// by a comparable key, the substrate of the events and unSubs buffers:
+// ordered iteration plus membership tests that are linear scans while
+// small and map lookups once past smallMax. Its indexed mode serves only
+// pbcast's message store and buffers configured past smallMax; the
+// event-id layer (IDBuffer, CompactDigest, Archive) has its own O(1)
+// structures.
 //
 // KeyedList is not safe for concurrent use.
 type KeyedList[K comparable, V any] struct {
@@ -238,29 +241,9 @@ func (l *KeyedList[K, V]) TruncateRandomDiscard(max int, r *rng.Source) int {
 	return n
 }
 
-// TruncateOldest removes elements from the front (oldest first) until
-// Len() <= max, returning the removed elements. This is the paper's
-// "remove oldest element" truncation for eventIds.
-func (l *KeyedList[K, V]) TruncateOldest(max int) []V {
-	if max < 0 {
-		max = 0
-	}
-	if len(l.items) <= max {
-		return nil
-	}
-	n := len(l.items) - max
-	removed := append([]V(nil), l.items[:n]...)
-	for _, v := range removed {
-		delete(l.idx, l.key(v))
-	}
-	l.items = append(l.items[:0], l.items[n:]...)
-	return removed
-}
-
 // TruncateOldestDiscard removes elements from the front (oldest first)
-// until Len() <= max, returning only how many were removed — the
-// allocation-free sibling of TruncateOldest for callers that do not need
-// the evicted elements.
+// until Len() <= max, returning how many were removed, without
+// allocating.
 func (l *KeyedList[K, V]) TruncateOldestDiscard(max int) int {
 	if max < 0 {
 		max = 0

@@ -92,6 +92,46 @@ func TestHandleMessageAppendZeroAllocDuplicate(t *testing.T) {
 	}
 }
 
+// TestCompactTickAppendZeroAlloc: with emission reuse, a compact-digest
+// engine's steady TickAppend appends its watermarks and sparse ids straight
+// from the origin table, ascending by origin and sequence number, without
+// allocating.
+func TestCompactTickAppendZeroAlloc(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.DigestMode = CompactDigest
+	e := allocEngine(t, cfg)
+	e.SetEmissionReuse(true)
+	var evs []proto.Event
+	for o := proto.ProcessID(40); o >= 2; o-- {
+		for _, seq := range []uint64{1, 2, 9, 5} {
+			evs = append(evs, proto.Event{ID: proto.EventID{Origin: o, Seq: seq}})
+		}
+	}
+	e.HandleMessage(proto.Message{Kind: proto.GossipMsg, From: 2, To: 1, Gossip: &proto.Gossip{From: 2, Events: evs}}, 1)
+	buf := make([]proto.Message, 0, 64)
+	now := uint64(1)
+	buf = e.TickAppend(now, buf[:0])
+	if len(buf) == 0 {
+		t.Fatal("setup: no gossip emitted")
+	}
+	g := buf[0].Gossip
+	if len(g.DigestWatermarks) != 39 || len(g.Digest) != 78 {
+		t.Fatalf("emitted %d watermarks and %d sparse ids, want 39 and 78", len(g.DigestWatermarks), len(g.Digest))
+	}
+	for i := 1; i < len(g.Digest); i++ {
+		if a, b := g.Digest[i-1], g.Digest[i]; a.Origin > b.Origin || a.Origin == b.Origin && a.Seq >= b.Seq {
+			t.Fatalf("digest out of order at %d: %v then %v", i, a, b)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		now++
+		buf = e.TickAppend(now, buf[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("compact-digest TickAppend allocates %v times per round, want 0", allocs)
+	}
+}
+
 // TestTickCompatWrapperClones pins the compatibility contract: Tick must
 // hand every target an independent deep copy, unlike TickAppend's shared
 // gossip.

@@ -267,8 +267,7 @@ func New(self proto.ProcessID, cfg Config, deliver Deliverer, r *rng.Source) (*E
 	}
 	e.events.Grow(cfg.MaxEvents + 1)
 	if cfg.DigestMode == FlatDigest {
-		e.flat = buffer.NewIDBuffer()
-		e.flat.Grow(cfg.MaxEventIDs + 1)
+		e.flat = buffer.NewIDBuffer(cfg.MaxEventIDs)
 	}
 	if cfg.DigestMode == CompactDigest || cfg.DedupMemory {
 		e.compact = buffer.NewCompactDigest()
@@ -321,11 +320,17 @@ func (e *Engine) knows(id proto.EventID) bool {
 }
 
 // record adds id to eventIds: to the advertised flat window (bounded) and,
-// when enabled, to the compact dedup memory.
+// when enabled, to the compact dedup memory. Every receive path records
+// only ids knows() has just reported unknown, so the window appends them
+// without a rescan; only this process's own ids are checked, since a peer
+// may have forged one before Publish issued it.
 func (e *Engine) record(id proto.EventID) {
 	if e.flat != nil {
-		e.flat.Add(id)
-		e.flat.TruncateOldestDiscard(e.cfg.MaxEventIDs)
+		if id.Origin == e.self {
+			e.flat.Add(id)
+		} else {
+			e.flat.Push(id)
+		}
 	}
 	if e.compact != nil {
 		e.compact.Add(id)
@@ -491,11 +496,12 @@ func (e *Engine) handleGossip(out []proto.Message, g proto.Gossip, now uint64) [
 			}
 		}
 	}
+	// A watermark advertises every sequence number up to wm.Seq; only
+	// chase the ones we do not know, within one budget for the whole
+	// gossip so that a hostile or corrupt list of watermarks stays cheap.
+	budget := maxWatermarkExpansion
 	for _, wm := range g.DigestWatermarks {
-		// A watermark advertises every sequence number up to wm.Seq; only
-		// chase the ones we do not know, bounded to avoid unbounded loops
-		// on a hostile or corrupt watermark.
-		e.expandWatermark(wm, seen)
+		budget = e.expandWatermark(wm, budget, seen)
 	}
 	for _, id := range g.Digest {
 		seen(id)
@@ -639,28 +645,30 @@ func (e *Engine) commitRetransmit(now uint64) {
 	e.scratchRearmed = rearmed
 }
 
-// maxWatermarkExpansion bounds how many unknown sequence numbers a single
-// watermark entry may fan out into.
+// maxWatermarkExpansion bounds the sequence numbers one gossip's
+// watermark entries may walk in total, known and unknown alike. A correct
+// peer sends one entry per origin.
 const maxWatermarkExpansion = 1024
 
-// expandWatermark walks the unknown identifiers advertised by a compact
-// watermark entry, newest first so that recent events win the expansion
-// budget.
-func (e *Engine) expandWatermark(wm proto.EventID, seen func(proto.EventID)) {
-	budget := maxWatermarkExpansion
+// expandWatermark walks the identifiers advertised by a compact watermark
+// entry, newest first so that recent events win the expansion budget, and
+// hands the unknown ones to seen. Every step costs one unit of budget; it
+// returns what is left.
+func (e *Engine) expandWatermark(wm proto.EventID, budget int, seen func(proto.EventID)) int {
 	for seq := wm.Seq; seq >= 1 && budget > 0; seq-- {
+		budget--
 		id := proto.EventID{Origin: wm.Origin, Seq: seq}
 		if e.knows(id) {
 			// The compact digest is contiguous below the local watermark,
 			// so the first known id ends the unknown suffix.
 			if e.compact != nil && seq <= e.compact.Watermark(wm.Origin) {
-				return
+				break
 			}
 			continue
 		}
 		seen(id)
-		budget--
 	}
+	return budget
 }
 
 // handleSubscribe processes a join request (§3.4): the subscription enters
@@ -789,7 +797,7 @@ func (e *Engine) TickCompose(now uint64, out []proto.Message) []proto.Message {
 		g = e.scratchGossip
 		g.From = e.self
 		g.Events = e.events.AppendItems(g.Events[:0])
-		g.Digest = e.appendDigestIDs(g.Digest[:0])
+		g.Digest = g.Digest[:0]
 		g.Subs = g.Subs[:0]
 		g.Unsubs = g.Unsubs[:0]
 		g.DigestWatermarks = g.DigestWatermarks[:0]
@@ -801,7 +809,6 @@ func (e *Engine) TickCompose(now uint64, out []proto.Message) []proto.Message {
 		g = &proto.Gossip{
 			From:   e.self,
 			Events: e.events.Items(),
-			Digest: e.digestIDs(),
 		}
 	}
 	if k := e.cfg.MembershipEvery; k <= 1 || ticks%uint64(k) == 0 {
@@ -810,7 +817,9 @@ func (e *Engine) TickCompose(now uint64, out []proto.Message) []proto.Message {
 		e.composedMembership = true
 	}
 	if e.cfg.DigestMode == CompactDigest {
-		g.DigestWatermarks = e.appendWatermarks(g.DigestWatermarks)
+		g.Digest, g.DigestWatermarks = e.compact.AppendDigest(g.Digest, g.DigestWatermarks)
+	} else {
+		g.Digest = e.flat.AppendIDs(g.Digest)
 	}
 	for _, t := range targets {
 		out = append(out, proto.Message{
@@ -860,33 +869,6 @@ func (e *Engine) TickCommit(now uint64) {
 	e.eventWeights = nil
 	e.composedTargets = 0
 	e.commitRetransmit(now)
-}
-
-// digestIDs returns the identifier digest to attach to an outgoing gossip.
-func (e *Engine) digestIDs() []proto.EventID { return e.appendDigestIDs(nil) }
-
-// appendDigestIDs appends the advertised digest identifiers to dst.
-func (e *Engine) appendDigestIDs(dst []proto.EventID) []proto.EventID {
-	if e.cfg.DigestMode == CompactDigest {
-		for _, entry := range e.compact.Summary() {
-			for _, seq := range entry.Sparse {
-				dst = append(dst, proto.EventID{Origin: entry.Origin, Seq: seq})
-			}
-		}
-		return dst
-	}
-	return e.flat.AppendIDs(dst)
-}
-
-// appendWatermarks appends the compact digest's per-origin watermarks to
-// dst.
-func (e *Engine) appendWatermarks(dst []proto.EventID) []proto.EventID {
-	for _, entry := range e.compact.Summary() {
-		if entry.Watermark > 0 {
-			dst = append(dst, proto.EventID{Origin: entry.Origin, Seq: entry.Watermark})
-		}
-	}
-	return dst
 }
 
 // JoinVia returns the subscription request a joining process sends to a

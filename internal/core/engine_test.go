@@ -497,6 +497,53 @@ func TestWatermarkExpansionBounded(t *testing.T) {
 	}
 }
 
+// TestWatermarkBudgetPerGossip: a gossip's watermark entries share one
+// expansion budget, charged per step walked, so repeating a hostile
+// watermark — or spreading it over many origins — delivers and retains no
+// more than one budget's worth of ids.
+func TestWatermarkBudgetPerGossip(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name   string
+		origin func(i int) proto.ProcessID
+	}{
+		{"repeated", func(int) proto.ProcessID { return 7 }},
+		{"spread", func(i int) proto.ProcessID { return proto.ProcessID(100 + i) }},
+	} {
+		e, _ := newEngine(t, 1, func(c *Config) {
+			c.DigestMode = CompactDigest
+			c.AssumeFromDigest = true
+		})
+		wms := make([]proto.EventID, 200)
+		for i := range wms {
+			wms[i] = proto.EventID{Origin: tc.origin(i), Seq: 1 << 20}
+		}
+		gossipTo(e, proto.Gossip{From: 2, DigestWatermarks: wms}, 1)
+		if got := e.Stats().EventsDelivered; got == 0 || got > maxWatermarkExpansion {
+			t.Errorf("%s: delivered %d ids, want 1..%d", tc.name, got, maxWatermarkExpansion)
+		}
+		if got := e.DigestLen(); got > maxWatermarkExpansion {
+			t.Errorf("%s: digest retains %d sparse ids, budget is %d", tc.name, got, maxWatermarkExpansion)
+		}
+	}
+}
+
+// TestPublishOfForgedIDKeepsWindowUnique: a peer may gossip this process's
+// next id before Publish issues it. Receive paths append to the flat
+// window without a rescan, so Publish must check its own id, or the
+// window would advertise it twice.
+func TestPublishOfForgedIDKeepsWindowUnique(t *testing.T) {
+	t.Parallel()
+	for _, dedup := range []bool{true, false} {
+		e, _ := newEngine(t, 1, func(c *Config) { c.DedupMemory = dedup })
+		gossipTo(e, proto.Gossip{From: 2, Events: []proto.Event{{ID: proto.EventID{Origin: 1, Seq: 1}}}}, 1)
+		e.Publish([]byte("real"))
+		if got := e.DigestLen(); got != 1 {
+			t.Errorf("DedupMemory=%v: window holds %d ids after a forged id was published, want 1", dedup, got)
+		}
+	}
+}
+
 func TestHandleMessageIgnoresMalformed(t *testing.T) {
 	t.Parallel()
 	e, _ := newEngine(t, 1, nil)

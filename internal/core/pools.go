@@ -78,9 +78,9 @@ func NewIn(self proto.ProcessID, cfg Config, sink EventSink, src rng.Source, p *
 	}
 	e.events.GrowIn(cfg.MaxEvents+1, &p.Mem.Buf)
 	if cfg.DigestMode == FlatDigest {
-		slot.flat.Init()
+		slot.flat.Init(cfg.MaxEventIDs)
 		e.flat = &slot.flat
-		e.flat.GrowIn(cfg.MaxEventIDs+1, &p.Mem.Buf)
+		e.flat.GrowIn(&p.Mem.Buf)
 	}
 	if cfg.DigestMode == CompactDigest || cfg.DedupMemory {
 		e.compact = &slot.compact
